@@ -29,9 +29,9 @@ use ml4db_plan::cost::CostModel;
 use ml4db_plan::executor::execute;
 use ml4db_plan::plan::{JoinAlgo, PlanNode, PlanOp, ScanAlgo};
 use ml4db_plan::Query;
-use ml4db_storage::exec;
+use ml4db_storage::exec::{self, Keys};
 use ml4db_storage::stats::Histogram;
-use ml4db_storage::{Database, Predicate, Row, Table, TRUE_WEIGHTS};
+use ml4db_storage::{Database, Predicate, Table, TRUE_WEIGHTS};
 
 use crate::Discrepancy;
 
@@ -119,18 +119,18 @@ pub fn check_index_scan_cost(
 }
 
 /// Checks one join algorithm's formula cost against its executed latency
-/// on concrete inputs: exact for nested-loop and hash, bounded for
+/// on concrete key inputs: exact for nested-loop and hash, bounded for
 /// sort-merge (ceil rounding of `n log n`, merge comparisons ≤ `l + r`).
-pub fn check_join_cost(left: &[Row], right: &[Row], algo: JoinAlgo) -> Vec<Discrepancy> {
+pub fn check_join_cost(left: Keys, right: Keys, algo: JoinAlgo) -> Vec<Discrepancy> {
     let w = TRUE_WEIGHTS;
     let model = CostModel::new(w);
     let (out, stats) = match algo {
-        JoinAlgo::NestedLoop => exec::nested_loop_join(left, right, 0, 0),
-        JoinAlgo::Hash => exec::hash_join(left, right, 0, 0),
-        JoinAlgo::SortMerge => exec::sort_merge_join(left, right, 0, 0),
+        JoinAlgo::NestedLoop => exec::nested_loop_join(left, right),
+        JoinAlgo::Hash => exec::hash_join(left, right),
+        JoinAlgo::SortMerge => exec::sort_merge_join(left, right),
     };
     let latency = stats.latency_us(&w);
-    let (l, r) = (left.len() as f64, right.len() as f64);
+    let (l, r) = (left.rows.len() as f64, right.rows.len() as f64);
     let cost = model.join_cost(algo, l, r, out.len() as f64);
     let mut found = Vec::new();
     let ctx = || format!("{algo:?} join l={l} r={r} out={}", out.len());
@@ -296,7 +296,7 @@ mod tests {
         joblite_db, sample_query, tpchlite_db, JOBLITE_EDGES, TPCHLITE_EDGES,
     };
     use ml4db_plan::{ClassicEstimator, Planner, TrueCardinality};
-    use ml4db_storage::{CmpOp, ColumnData, DataType, Schema, Value};
+    use ml4db_storage::{CmpOp, ColumnData, DataType, Schema};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -355,17 +355,27 @@ mod tests {
         }
     }
 
+    /// Checks all three join algorithms on two Int key columns.
+    fn join_costs(lkeys: Vec<i64>, rkeys: Vec<i64>) -> Vec<Discrepancy> {
+        let (lids, rids): (Vec<u32>, Vec<u32>) =
+            ((0..lkeys.len() as u32).collect(), (0..rkeys.len() as u32).collect());
+        let (lcol, rcol) = (ColumnData::Int(lkeys), ColumnData::Int(rkeys));
+        [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge]
+            .into_iter()
+            .flat_map(|algo| {
+                let left = Keys { column: &lcol, rows: &lids };
+                check_join_cost(left, Keys { column: &rcol, rows: &rids }, algo)
+            })
+            .collect()
+    }
+
     #[test]
     fn join_costs_match_execution() {
-        let rows = |n: i64, m: i64| -> Vec<Row> {
-            (0..n).map(|i| vec![Value::Int(i % m.max(1)), Value::Int(i)]).collect()
-        };
         for (l, r) in [(0, 0), (0, 50), (50, 0), (1, 1), (40, 60), (300, 200)] {
-            let left = rows(l, 13);
-            let right = rows(r, 11);
-            for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-                crate::assert_no_discrepancies(&check_join_cost(&left, &right, algo));
-            }
+            crate::assert_no_discrepancies(&join_costs(
+                (0..l).map(|i| i % 13).collect(),
+                (0..r).map(|i| i % 11).collect(),
+            ));
         }
     }
 
@@ -464,12 +474,8 @@ mod tests {
             lkeys in proptest::collection::vec(0i64..25, 0..80),
             rkeys in proptest::collection::vec(0i64..25, 0..80),
         ) {
-            let left: Vec<Row> = lkeys.iter().map(|&k| vec![Value::Int(k)]).collect();
-            let right: Vec<Row> = rkeys.iter().map(|&k| vec![Value::Int(k)]).collect();
-            for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-                let found = check_join_cost(&left, &right, algo);
-                prop_assert!(found.is_empty(), "{:?}", found);
-            }
+            let found = join_costs(lkeys, rkeys);
+            prop_assert!(found.is_empty(), "{:?}", found);
         }
     }
 }
