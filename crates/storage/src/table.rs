@@ -3,7 +3,8 @@
 //!
 //! Columns are numeric (`Int` or `Float`): the surveyed ML4DB systems
 //! featurize predicates over numeric domains, and synthetic workloads never
-//! need more. Rows materialize as `Vec<Value>` during execution.
+//! need more. The executor works on row ids into these columns; a [`Row`]
+//! is built only when a caller materializes a result.
 
 use std::collections::BTreeMap;
 
