@@ -396,7 +396,12 @@ impl<'e, 'db> Server<'e, 'db> {
     /// responses only resolve if a worker is still draining), so
     /// callers should stop submitting before closing.
     pub fn close(&self) {
+        // Set the flag under the queue lock: a worker checks it under
+        // that lock before waiting, so the notify below cannot fall
+        // between its check and its wait and be lost.
+        let queue = self.lock_queue();
         self.closed.store(true, Ordering::Release);
+        drop(queue);
         self.qcv.notify_all();
     }
 

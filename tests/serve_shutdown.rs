@@ -191,3 +191,34 @@ fn skipping_shutdown_sync_loses_accepted_requests() {
         "records survived without any commit barrier — the positive test proves nothing"
     );
 }
+
+/// `close` must wake every worker, including one that has just seen the
+/// queue empty and the server open but has not yet started waiting. The
+/// race is widest right after a response is taken: the worker that
+/// deposited it loops back to the queue while the caller closes. If the
+/// wake-up is lost, that worker sleeps forever and joining it hangs.
+#[test]
+fn close_wakes_a_worker_returning_to_the_queue() {
+    const ROUNDS: u64 = 20_000;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (db, mix) = setup(0xC105E);
+        let env = Env::new(&db);
+        let query = mix.pools[0][0][0].clone();
+        for id in 0..ROUNDS {
+            let server = Server::new(&env, ServeConfig::default());
+            std::thread::scope(|s| {
+                for w in 0..2 {
+                    let server = &server;
+                    s.spawn(move || server.run_worker(w));
+                }
+                server.submit(Request { id, session: 0, tenant: 0, class: 0, query: query.clone() });
+                server.await_take(id);
+                server.close();
+            });
+        }
+        tx.send(()).expect("test thread waits for the rounds");
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(120))
+        .expect("a worker missed close() and never returned");
+}
